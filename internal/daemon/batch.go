@@ -17,11 +17,11 @@ import (
 
 // batchRequest builds the wire frame for one batch of queries, stamping
 // ctx's remaining deadline budget on every item so the server bounds each
-// analysis the same way it would a standalone request. The dialect rides
-// once on the outer frame (empty for MySQL) and defaults into every item
-// server-side.
+// analysis the same way it would a standalone request. The dialect (empty
+// for MySQL) and the no_tokens flag ride once on the outer frame and
+// default into every item server-side.
 func batchRequest(ctx context.Context, dialect string, queries []string) wireRequest {
-	req := wireRequest{Op: "batch", Dialect: dialect, Batch: make([]wireRequest, len(queries))}
+	req := wireRequest{Op: "batch", Dialect: dialect, NoTokens: true, Batch: make([]wireRequest, len(queries))}
 	for i, q := range queries {
 		req.Batch[i] = withTimeoutBudget(ctx, wireRequest{Query: q})
 	}
@@ -174,9 +174,10 @@ func (b *batcher) flushPending() {
 // flush sends one batch frame and distributes the per-item outcomes. The
 // round trip itself runs under the pool's own deadline rather than any
 // single caller's context: the batch serves several callers, and each
-// item already carries its own server-side budget.
+// item already carries its own server-side budget. The outer frame's
+// no_tokens flag covers every item.
 func (b *batcher) flush(batch []*batchCall) {
-	req := wireRequest{Op: "batch", Batch: make([]wireRequest, len(batch))}
+	req := wireRequest{Op: "batch", NoTokens: true, Batch: make([]wireRequest, len(batch))}
 	for i, call := range batch {
 		req.Batch[i] = call.req
 	}

@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"errors"
 	"net"
+	"os"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -34,10 +36,20 @@ func TestClientAnalyzeBatch(t *testing.T) {
 	if !results[1].Reply.Attack {
 		t.Error("attack item missed")
 	}
-	// Token streams ride back per item, so the NTI side can reuse each
-	// item's parse exactly like a single-request reply.
-	if len(results[1].Reply.Tokens) == 0 {
-		t.Error("batch item lost its token stream")
+	// The client's batch frame asks for no token streams.
+	for i, r := range results {
+		if r.Reply.Tokens != nil {
+			t.Errorf("item %d carries %d tokens", i, len(r.Reply.Tokens))
+		}
+	}
+	// A legacy batch frame gets a token stream per item, exactly like a
+	// legacy single-request reply.
+	resp, err := c.roundTrip(context.Background(), wireRequest{Op: "batch", Batch: []wireRequest{{Query: benignQuery}, {Query: attackQuery}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.Batch) != 2 || !resp.Batch[1].Reply.Attack || len(resp.Batch[1].Reply.Tokens) == 0 {
+		t.Errorf("legacy batch item lost its token stream: %+v", resp.Batch)
 	}
 
 	// Empty batch is a client-side no-op, not a wire request.
@@ -373,15 +385,23 @@ func TestWireBackCompatOldClientFrames(t *testing.T) {
 		_ = serverSide.Close()
 		<-serveDone
 	}()
-	dec := json.NewDecoder(bufio.NewReader(clientSide))
-	type raw map[string]any
-	send := func(frame string) raw {
+	br := bufio.NewReader(clientSide)
+	sendLine := func(frame string) string {
 		t.Helper()
 		if _, err := clientSide.Write([]byte(frame + "\n")); err != nil {
 			t.Fatal(err)
 		}
+		line, err := br.ReadString('\n')
+		if err != nil {
+			t.Fatal(err)
+		}
+		return line
+	}
+	type raw map[string]any
+	send := func(frame string) raw {
+		t.Helper()
 		var resp raw
-		if err := dec.Decode(&resp); err != nil {
+		if err := json.Unmarshal([]byte(sendLine(frame)), &resp); err != nil {
 			t.Fatal(err)
 		}
 		return resp
@@ -400,6 +420,53 @@ func TestWireBackCompatOldClientFrames(t *testing.T) {
 		t.Fatalf("old-style stats frame = %v", resp)
 	}
 
+	// Analyze and batch frames without no_tokens get the reply the server
+	// sent before the flag existed, byte for byte, token streams included
+	// (empty ones too): the golden file pairs each frame with that reply.
+	// The same frames with the flag get the same verdicts with no tokens
+	// key anywhere.
+	golden, err := os.ReadFile("testdata/legacy_replies.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(golden), "\n"), "\n")
+	if len(lines) < 2 || len(lines)%2 != 0 {
+		t.Fatalf("golden file has %d lines, want frame/reply pairs", len(lines))
+	}
+	for i := 0; i < len(lines); i += 2 {
+		frame, want := lines[i], lines[i+1]+"\n"
+		if got := sendLine(frame); got != want {
+			t.Errorf("legacy frame %s\n got: %s want: %s", frame, got, want)
+		}
+		lean := sendLine(`{"no_tokens":true,` + strings.TrimPrefix(frame, "{"))
+		if strings.Contains(lean, `"tokens"`) {
+			t.Errorf("no_tokens frame %s got tokens: %s", frame, lean)
+		}
+		var legacyResp, leanResp wireResponse
+		if err := json.Unmarshal([]byte(want), &legacyResp); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal([]byte(lean), &leanResp); err != nil {
+			t.Fatal(err)
+		}
+		stripTokens(&legacyResp)
+		if !reflect.DeepEqual(leanResp, legacyResp) {
+			t.Errorf("no_tokens frame %s: reply %+v differs from the legacy reply %+v beyond its tokens", frame, leanResp, legacyResp)
+		}
+	}
+	// Inside a batch the flag also works per item, without the outer one.
+	resp = send(`{"op":"batch","batch":[{"query":"` + benignQuery + `","no_tokens":true},{"query":"` + benignQuery + `"}]}`)
+	items, _ := resp["batch"].([]any)
+	if len(items) != 2 {
+		t.Fatalf("per-item flag batch = %v", resp)
+	}
+	if _, has := items[0].(map[string]any)["reply"].(map[string]any)["tokens"]; has {
+		t.Errorf("item with no_tokens got tokens: %v", items[0])
+	}
+	if _, has := items[1].(map[string]any)["reply"].(map[string]any)["tokens"]; !has {
+		t.Errorf("item without no_tokens lost its tokens: %v", items[1])
+	}
+
 	// New client, old server: the single-request frame must not have
 	// grown any field an old server would choke on or misread.
 	frame, err := json.Marshal(wireRequest{Query: benignQuery})
@@ -415,22 +482,47 @@ func TestWireBackCompatOldClientFrames(t *testing.T) {
 	}
 }
 
+// stripTokens clears the token streams of a decoded reply frame and of its
+// batch items.
+func stripTokens(resp *wireResponse) {
+	if resp.Reply != nil {
+		resp.Reply.Tokens = nil
+	}
+	for i := range resp.Batch {
+		stripTokens(&resp.Batch[i])
+	}
+}
+
 // FuzzBatchFrame drives the batch verb with arbitrary queries, item
-// counts and budgets. The invariant: a well-formed batch frame never
-// panics the server, and the reply carries exactly one response per item
-// (or a whole-batch error for empty/over-cap batches) on a stream that
-// stays healthy.
+// counts, budgets, version pins and no_tokens values. The invariant: a
+// well-formed batch frame never panics the server, and the reply carries
+// exactly one response per item (or a whole-batch error for empty/over-cap
+// batches) on a stream that stays healthy; with no_tokens true on the
+// outer frame no item reply carries tokens. noTokens is the raw JSON value
+// spliced in as no_tokens on the outer frame and on the odd items (empty
+// leaves the field out); a value of the wrong type makes the frame
+// malformed, which must end the connection cleanly instead.
 func FuzzBatchFrame(f *testing.F) {
-	f.Add("SELECT * FROM records WHERE ID=5 LIMIT 5", "SELECT 1", uint8(2), int64(0), "")
-	f.Add("", "x", uint8(0), int64(-1), "")
-	f.Add("SELECT * FROM records WHERE ID=-1 UNION SELECT username() LIMIT 5", "", uint8(7), int64(1<<62), "deadbeefdeadbeef")
-	f.Add("q", "q", uint8(255), int64(1), "\x00\xffgarbage")
-	f.Add("SELECT 1", "SELECT 1", uint8(3), int64(0), "mixed\ncase")
+	f.Add("SELECT * FROM records WHERE ID=5 LIMIT 5", "SELECT 1", uint8(2), int64(0), "", "")
+	f.Add("", "x", uint8(0), int64(-1), "", "")
+	f.Add("SELECT * FROM records WHERE ID=-1 UNION SELECT username() LIMIT 5", "", uint8(7), int64(1<<62), "deadbeefdeadbeef", "")
+	f.Add("q", "q", uint8(255), int64(1), "\x00\xffgarbage", "")
+	f.Add("SELECT 1", "SELECT 1", uint8(3), int64(0), "mixed\ncase", "")
+	f.Add("SELECT * FROM records WHERE ID=5 LIMIT 5", "SELECT 1", uint8(3), int64(0), "", "true")
+	f.Add("SELECT * FROM records WHERE ID=-1 UNION SELECT username() LIMIT 5", "SELECT 1", uint8(4), int64(0), "", "false")
+	f.Add("SELECT 1", "", uint8(2), int64(0), "", `"yes"`)
+	f.Add("SELECT 1", "SELECT 1", uint8(1), int64(0), "", "1")
+	f.Add("SELECT 1", "SELECT 1", uint8(2), int64(0), "", "null")
 	analyzer := newAnalyzer()
-	f.Fuzz(func(t *testing.T, q1, q2 string, n uint8, timeoutMs int64, version string) {
-		if len(q1) > 1<<10 || len(q2) > 1<<10 || len(version) > 1<<8 {
+	f.Fuzz(func(t *testing.T, q1, q2 string, n uint8, timeoutMs int64, version, noTokens string) {
+		if len(q1) > 1<<10 || len(q2) > 1<<10 || len(version) > 1<<8 || len(noTokens) > 1<<6 {
 			t.Skip()
 		}
+		if noTokens != "" && !json.Valid([]byte(noTokens)) {
+			t.Skip() // splicing a non-value would not make one frame
+		}
+		var flag *bool
+		wellFormed := noTokens == "" || json.Unmarshal([]byte(noTokens), &flag) == nil
 		srv := NewServer(analyzer, WithMaxBatchItems(64))
 		clientSide, serverSide := net.Pipe()
 		done := make(chan struct{})
@@ -438,41 +530,96 @@ func FuzzBatchFrame(f *testing.F) {
 			defer close(done)
 			srv.ServeConn(serverSide)
 		}()
-		c := NewClient(clientSide)
 		defer func() {
-			_ = c.Close()
+			_ = clientSide.Close()
 			_ = serverSide.Close()
 			<-done
 		}()
-		items := make([]wireRequest, int(n)%96)
+		dec := json.NewDecoder(bufio.NewReader(clientSide))
+		send := func(frame []byte) (wireResponse, error) {
+			errc := make(chan error, 1)
+			go func() {
+				_, err := clientSide.Write(append(frame, '\n'))
+				errc <- err
+			}()
+			var resp wireResponse
+			err := dec.Decode(&resp)
+			if err != nil {
+				_ = clientSide.Close() // unblock a writer the server stopped reading
+			}
+			<-errc
+			return resp, err
+		}
+		items := make([]string, int(n)%96)
 		for i := range items {
+			var item wireRequest
 			if i%2 == 0 {
-				items[i] = wireRequest{Query: q1, TimeoutMs: timeoutMs}
+				item = wireRequest{Query: q1, TimeoutMs: timeoutMs}
 			} else {
 				// Odd items carry the fuzzed version pin directly; even ones
 				// inherit the frame-level pin. Against this unversioned
 				// server any non-empty pin must yield a per-item refusal on
 				// the healthy stream, never fewer replies than items.
-				items[i] = wireRequest{Query: q2, Version: version}
+				item = wireRequest{Query: q2, Version: version}
 			}
+			b, err := json.Marshal(item)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i%2 == 1 {
+				b = withRawField(b, "no_tokens", noTokens)
+			}
+			items[i] = string(b)
 		}
-		resp, err := c.roundTrip(context.Background(), wireRequest{Op: "batch", Batch: items, Version: version})
-		switch {
-		case len(items) == 0 || len(items) > 64:
+		outer, err := json.Marshal(wireRequest{Op: "batch", Version: version})
+		if err != nil {
+			t.Fatal(err)
+		}
+		outer = withRawField(outer, "no_tokens", noTokens)
+		frame := append(outer[:len(outer)-1], `,"batch":[`+strings.Join(items, ",")+`]}`...)
+		resp, err := send(frame)
+		if !wellFormed {
 			if err == nil {
+				t.Fatalf("frame with no_tokens %s answered: %+v", noTokens, resp)
+			}
+			return
+		}
+		switch {
+		case err != nil:
+			t.Fatalf("well-formed batch of %d broke the connection: %v", len(items), err)
+		case len(items) == 0 || len(items) > 64:
+			if resp.Err == "" {
 				t.Fatalf("batch of %d items accepted, want whole-batch refusal", len(items))
 			}
-		case err != nil:
-			t.Fatalf("well-formed batch of %d failed: %v", len(items), err)
+		case resp.Err != "":
+			t.Fatalf("well-formed batch of %d failed: %s", len(items), resp.Err)
 		case len(resp.Batch) != len(items):
 			t.Fatalf("%d replies for %d items", len(resp.Batch), len(items))
 		}
-		if c.Broken() {
-			t.Fatal("healthy-stream batch broke the connection")
+		if flag != nil && *flag {
+			for i, item := range resp.Batch {
+				if item.Reply != nil && item.Reply.Tokens != nil {
+					t.Fatalf("item %d of a no_tokens batch carries tokens", i)
+				}
+			}
 		}
 		// The stream survived whatever the batch did.
-		if _, err := c.Analyze("SELECT * FROM records WHERE ID=5 LIMIT 5"); err != nil {
-			t.Fatalf("follow-up request failed: %v", err)
+		resp, err = send([]byte(`{"query":"SELECT * FROM records WHERE ID=5 LIMIT 5"}`))
+		if err != nil || resp.Reply == nil {
+			t.Fatalf("follow-up request failed: %+v, %v", resp, err)
 		}
 	})
+}
+
+// withRawField adds "name":raw to the JSON object obj; an empty raw leaves
+// obj unchanged.
+func withRawField(obj []byte, name, raw string) []byte {
+	if raw == "" {
+		return obj
+	}
+	field := `"` + name + `":` + raw
+	if string(obj) == "{}" {
+		return []byte("{" + field + "}")
+	}
+	return []byte("{" + field + "," + string(obj[1:]))
 }

@@ -208,7 +208,7 @@ func (c *Client) Analyze(query string) (*AnalysisReply, error) {
 // the remaining deadline budget rides in the request so the server
 // abandons work the client will no longer wait for.
 func (c *Client) AnalyzeContext(ctx context.Context, query string) (*AnalysisReply, error) {
-	resp, err := c.roundTrip(ctx, withTimeoutBudget(ctx, wireRequest{Query: query, Dialect: c.wireDialect()}))
+	resp, err := c.roundTrip(ctx, withTimeoutBudget(ctx, wireRequest{Query: query, Dialect: c.wireDialect(), NoTokens: true}))
 	if err != nil {
 		return nil, err
 	}
@@ -223,7 +223,7 @@ func (c *Client) AnalyzeContext(ctx context.Context, query string) (*AnalysisRep
 // query-skeleton profile stage. Old servers ignore the field and reply
 // without a profile verdict.
 func (c *Client) AnalyzeSiteContext(ctx context.Context, site, query string) (*AnalysisReply, error) {
-	resp, err := c.roundTrip(ctx, withTimeoutBudget(ctx, wireRequest{Query: query, Site: site, Dialect: c.wireDialect()}))
+	resp, err := c.roundTrip(ctx, withTimeoutBudget(ctx, wireRequest{Query: query, Site: site, Dialect: c.wireDialect(), NoTokens: true}))
 	if err != nil {
 		return nil, err
 	}

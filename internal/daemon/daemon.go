@@ -1,8 +1,13 @@
 // Package daemon implements the PTI daemon of the Joza architecture
 // (Section IV): a separate process that loads the fragment set, parses
 // intercepted queries, runs the PTI analysis (with its caches), and
-// returns both the verdict and the parsed critical-token stream so the
-// in-application NTI component can reuse it.
+// returns the verdict. The paper's daemon also returns the parsed token
+// stream so the in-application NTI component can reuse it; shipping and
+// decoding that stream costs more than the lazy client-side lex it saves
+// (NTI needs tokens only when an input matches the query), so current
+// clients set the request's no_tokens flag and the daemon then skips both
+// the eager lex and the token encoding. Frames without the flag — older
+// clients — get the full reply, token stream included, unchanged.
 //
 // Two transports are provided, mirroring the paper's deployment study:
 //
@@ -41,9 +46,11 @@ type AnalysisReply struct {
 	Attack bool `json:"attack"`
 	// Reasons explains the verdict (uncovered critical tokens).
 	Reasons []ReasonJSON `json:"reasons,omitempty"`
-	// Tokens is the full token stream of the query; the application-side
-	// NTI component reuses it instead of re-lexing.
-	Tokens []TokenJSON `json:"tokens"`
+	// Tokens is the full token stream of the query. The daemon sends it
+	// only to clients that do not set the request's no_tokens flag (older
+	// clients, which reuse it for NTI instead of re-lexing); it is nil on
+	// every other reply, and on Direct, which never fills it.
+	Tokens []TokenJSON `json:"tokens,omitempty"`
 	// Trace is the daemon-side decision trace, present when the daemon
 	// sampled this check. A tracing HybridClient merges it into its own
 	// span so one trace shows both sides of the wire.
@@ -96,9 +103,28 @@ func fromTokenJSON(t TokenJSON) sqltoken.Token {
 	return sqltoken.Token{Kind: sqltoken.Kind(t.Kind), Text: t.Text, Start: t.Start, End: t.End}
 }
 
-// TokenStream converts the reply's token stream back to lexer tokens so
-// the application-side NTI component can reuse the daemon's parse.
+// legacyReply is AnalysisReply's wire shape for frames without the
+// no_tokens flag: the tokens key is always present, even for an empty
+// stream, so those clients get the pre-flag reply byte for byte. The two
+// types differ only in that tag, so a reply converts in place, and a field
+// added to one but not the other breaks that conversion at compile time.
+type legacyReply struct {
+	Attack  bool          `json:"attack"`
+	Reasons []ReasonJSON  `json:"reasons,omitempty"`
+	Tokens  []TokenJSON   `json:"tokens"`
+	Trace   *trace.Span   `json:"trace,omitempty"`
+	Profile *ProfileReply `json:"profile,omitempty"`
+	Version string        `json:"version,omitempty"`
+}
+
+// TokenStream converts the reply's token stream back to lexer tokens. A
+// reply without tokens yields nil, never an empty stream: NTI treats a
+// non-nil stream as the query's lex and would skip its own, and with it
+// the whole-token rule, so an empty one would hide every attack from it.
 func (r *AnalysisReply) TokenStream() []sqltoken.Token {
+	if len(r.Tokens) == 0 {
+		return nil
+	}
 	out := make([]sqltoken.Token, len(r.Tokens))
 	for i, t := range r.Tokens {
 		out[i] = fromTokenJSON(t)
@@ -118,42 +144,43 @@ func (r *AnalysisReply) Result() core.Result {
 	return res
 }
 
-// analyze runs the shared daemon-side analysis for both transports.
-func analyze(analyzer *pti.Cached, query string) *AnalysisReply {
-	reply, _ := analyzeCtx(context.Background(), analyzer, query, nil)
-	return reply
-}
-
 // analyzeCtx is the shared daemon-side analysis with decision tracing and
 // cooperative cancellation. A non-nil span records the lex duration, the
 // cache outcome, the fragment-cover duration and the per-token cover
-// evidence; the daemon always lexes (it returns the token stream to the
-// client), so the lex is timed here rather than lazily. ctx is checked
-// before the lex and through the analyzer's checkpoints, so a request
-// whose wire-propagated budget has expired fails with ctx's error instead
-// of burning daemon time on an abandoned query.
-func analyzeCtx(ctx context.Context, analyzer *pti.Cached, query string, span *trace.Span) (*AnalysisReply, error) {
+// evidence. Without withTokens the query is lexed only on a PTI cache
+// miss, inside the analyzer, so the span's lex time counts misses only;
+// withTokens (frames from clients that did not set no_tokens) lexes every
+// query up front, times it here, and returns the stream on the reply. ctx
+// is checked before any work and through the analyzer's checkpoints, so a
+// request whose wire-propagated budget has expired fails with ctx's error
+// instead of burning daemon time on an abandoned query.
+func analyzeCtx(ctx context.Context, analyzer *pti.Cached, query string, span *trace.Span, withTokens bool) (*AnalysisReply, error) {
 	if ctx.Done() != nil {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 	}
-	var lexStart time.Time
-	if span.Active() {
-		lexStart = time.Now()
-	}
-	toks := analyzer.Dialect().Lex(query)
-	if span.Active() {
-		span.Lex(time.Since(lexStart))
+	var toks []sqltoken.Token
+	if withTokens {
+		var lexStart time.Time
+		if span.Active() {
+			lexStart = time.Now()
+		}
+		toks = analyzer.Dialect().Lex(query)
+		if span.Active() {
+			span.Lex(time.Since(lexStart))
+		}
 	}
 	res, _, err := analyzer.AnalyzeLazyCtx(ctx, query, toks, span)
 	if err != nil {
 		return nil, err
 	}
 	reply := &AnalysisReply{Attack: res.Attack}
-	reply.Tokens = make([]TokenJSON, len(toks))
-	for i, t := range toks {
-		reply.Tokens[i] = toTokenJSON(t)
+	if withTokens {
+		reply.Tokens = make([]TokenJSON, len(toks))
+		for i, t := range toks {
+			reply.Tokens[i] = toTokenJSON(t)
+		}
 	}
 	for _, reason := range res.Reasons {
 		reply.Reasons = append(reply.Reasons, ReasonJSON{
@@ -216,7 +243,9 @@ type Transport interface {
 	Close() error
 }
 
-// Direct is the in-process transport (the "PHP extension" estimate).
+// Direct is the in-process transport (the "PHP extension" estimate). It
+// always takes the daemon's lean path: no eager lex and no token stream on
+// the reply.
 type Direct struct {
 	analyzer *pti.Cached
 	profiles *profile.Store
@@ -240,19 +269,19 @@ func (d *Direct) SetProfileRecorder(r *profile.Recorder) { d.recorder = r }
 
 // Analyze implements Transport.
 func (d *Direct) Analyze(query string) (*AnalysisReply, error) {
-	return analyze(d.analyzer, query), nil
+	return analyzeCtx(context.Background(), d.analyzer, query, nil, false)
 }
 
 // AnalyzeContext implements Transport: there is no wire to bound, so ctx
 // only gates the in-process analysis.
 func (d *Direct) AnalyzeContext(ctx context.Context, query string) (*AnalysisReply, error) {
-	return analyzeCtx(ctx, d.analyzer, query, nil)
+	return analyzeCtx(ctx, d.analyzer, query, nil, false)
 }
 
 // AnalyzeSiteContext implements siteTransport: AnalyzeContext plus the
 // query-skeleton profile verdict for site.
 func (d *Direct) AnalyzeSiteContext(ctx context.Context, site, query string) (*AnalysisReply, error) {
-	reply, err := analyzeCtx(ctx, d.analyzer, query, nil)
+	reply, err := analyzeCtx(ctx, d.analyzer, query, nil, false)
 	if err != nil {
 		return nil, err
 	}
@@ -318,6 +347,14 @@ type wireRequest struct {
 	// unpinned; old servers ignore the field, so versionless traffic
 	// interops byte-identically in both directions.
 	Version string `json:"version,omitempty"`
+	// NoTokens asks the server to leave the query's token stream out of
+	// the analyze reply, and so to skip the eager lex that fills it; the
+	// client lexes lazily when NTI needs tokens. Current clients always
+	// set it, once on the outer frame of a batch, which defaults its
+	// items. Absent (older clients) gets the full reply, tokens included;
+	// old servers ignore the field and send tokens, which current clients
+	// ignore.
+	NoTokens bool `json:"no_tokens,omitempty"`
 }
 
 // RolloutReply answers the two-phase rollout verbs. State is "staged"
@@ -341,18 +378,26 @@ func wireDialect(d sqltoken.Dialect) string {
 	return d.String()
 }
 
-type wireResponse struct {
-	Reply  *AnalysisReply `json:"reply,omitempty"`
-	Stats  *StatsReply    `json:"stats,omitempty"`
-	Traces *TracesReply   `json:"traces,omitempty"`
+// response is one reply frame. Clients decode into wireResponse; the
+// server encodes serverResponse, whose Reply holds an *AnalysisReply for
+// no_tokens requests and a *legacyReply for the others.
+type response[R any] struct {
+	Reply  R            `json:"reply,omitempty"`
+	Stats  *StatsReply  `json:"stats,omitempty"`
+	Traces *TracesReply `json:"traces,omitempty"`
 	// Batch answers a "batch" request with exactly one response per item,
 	// in item order. A per-item failure sets that item's Err and leaves
 	// its siblings intact.
-	Batch []wireResponse `json:"batch,omitempty"`
+	Batch []response[R] `json:"batch,omitempty"`
 	// Rollout answers the "prepare", "commit" and "abort" verbs.
 	Rollout *RolloutReply `json:"rollout,omitempty"`
 	Err     string        `json:"error,omitempty"`
 }
+
+type (
+	wireResponse   = response[*AnalysisReply]
+	serverResponse = response[any]
+)
 
 // BatchResult is the client-side outcome of one item of a batch: either a
 // reply or that item's error from the healthy stream. A transport failure

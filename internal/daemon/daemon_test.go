@@ -1,7 +1,9 @@
 package daemon
 
 import (
+	"context"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -10,6 +12,7 @@ import (
 	"joza/internal/fragments"
 	"joza/internal/nti"
 	"joza/internal/pti"
+	"joza/internal/sqltoken"
 )
 
 func newAnalyzer() *pti.Cached {
@@ -35,8 +38,10 @@ func TestDirectTransport(t *testing.T) {
 	if reply.Attack {
 		t.Error("benign flagged")
 	}
-	if len(reply.Tokens) == 0 {
-		t.Error("no tokens returned")
+	// Direct always takes the lean path: no token stream, so a consumer
+	// lexes lazily instead of reusing one.
+	if reply.Tokens != nil || reply.TokenStream() != nil {
+		t.Errorf("Direct reply carries tokens: %+v", reply.Tokens)
 	}
 	reply, err = d.Analyze(attackQuery)
 	if err != nil {
@@ -80,10 +85,18 @@ func TestRemoteTransportTCP(t *testing.T) {
 	if !reply.Attack {
 		t.Error("attack missed over TCP")
 	}
-	// Tokens survive the round trip with positions intact.
-	toks := reply.TokenStream()
+	if reply.Tokens != nil {
+		t.Errorf("client asked for no tokens but got %d", len(reply.Tokens))
+	}
+	// A legacy frame (no no_tokens flag) still gets the token stream, and
+	// it survives the round trip with positions intact.
+	resp, err := c.roundTrip(context.Background(), wireRequest{Query: attackQuery})
+	if err != nil {
+		t.Fatal(err)
+	}
+	toks := resp.Reply.TokenStream()
 	if len(toks) == 0 || toks[0].Text != "SELECT" || toks[0].Start != 0 {
-		t.Errorf("tokens = %+v", toks[:1])
+		t.Errorf("legacy-frame tokens = %+v", toks)
 	}
 }
 
@@ -122,13 +135,22 @@ func TestTransportsAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for name, tr := range map[string]Transport{"pipe": pipe, "tcp": remote} {
-			got, err := tr.Analyze(q)
+		lexed := sqltoken.MySQL.Lex(q)
+		for name, c := range map[string]*Client{"pipe": pipe, "tcp": remote} {
+			got, err := c.Analyze(q)
 			if err != nil {
 				t.Fatalf("%s %q: %v", name, q, err)
 			}
-			if got.Attack != want.Attack || len(got.Tokens) != len(want.Tokens) {
+			if got.Attack != want.Attack || !slices.Equal(got.Reasons, want.Reasons) || got.Tokens != nil {
 				t.Errorf("%s %q: got %+v, want %+v", name, q, got, want)
+			}
+			// A legacy frame's token stream is the daemon's lex of q.
+			resp, err := c.roundTrip(context.Background(), wireRequest{Query: q})
+			if err != nil {
+				t.Fatalf("%s %q legacy frame: %v", name, q, err)
+			}
+			if resp.Reply.Attack != want.Attack || len(resp.Reply.Tokens) != len(lexed) {
+				t.Errorf("%s %q legacy frame: got %+v, want attack %v and %d tokens", name, q, resp.Reply, want.Attack, len(lexed))
 			}
 		}
 	}

@@ -125,9 +125,13 @@ func TestWireDialectRawFrames(t *testing.T) {
 	}
 
 	// An old client's frame has no dialect field at all: it means MySQL and
-	// analyzes normally on a MySQL daemon.
-	if resp := roundTrip(map[string]any{"query": benignQuery}); resp.Err != "" || resp.Reply == nil {
-		t.Fatalf("old-client frame refused: %+v", resp)
+	// analyzes normally on a MySQL daemon, token stream included.
+	if resp := roundTrip(map[string]any{"query": benignQuery}); resp.Err != "" || resp.Reply == nil || len(resp.Reply.Tokens) == 0 {
+		t.Fatalf("old-client frame refused or lost its tokens: %+v", resp)
+	}
+	// A current client's frame also carries no_tokens and gets no stream.
+	if resp := roundTrip(map[string]any{"query": benignQuery, "no_tokens": true}); resp.Err != "" || resp.Reply == nil || resp.Reply.Tokens != nil {
+		t.Fatalf("no_tokens frame: %+v", resp)
 	}
 	// Unknown dialect names are refused per request.
 	if resp := roundTrip(map[string]any{"query": benignQuery, "dialect": "oracle"}); resp.Err == "" || !strings.Contains(resp.Err, "oracle") {
@@ -152,12 +156,25 @@ func TestWireDialectRawFrames(t *testing.T) {
 	if !strings.Contains(resp.Batch[2].Err, "oracle") {
 		t.Errorf("unknown-dialect item err = %q", resp.Batch[2].Err)
 	}
+	if len(resp.Batch[0].Reply.Tokens) == 0 {
+		t.Errorf("plain item of a legacy batch lost its tokens: %+v", resp.Batch[0])
+	}
 	// An outer-frame dialect is the default for items that set none.
 	resp = roundTrip(map[string]any{"op": "batch", "dialect": "postgres", "batch": []map[string]any{
 		{"query": benignQuery},
 	}})
 	if resp.Err != "" || len(resp.Batch) != 1 || !strings.Contains(resp.Batch[0].Err, "dialect mismatch") {
 		t.Fatalf("outer-frame dialect not inherited: %+v", resp)
+	}
+	// Likewise the outer no_tokens flag covers every item, and refusals
+	// still ride per item.
+	resp = roundTrip(map[string]any{"op": "batch", "no_tokens": true, "batch": []map[string]any{
+		{"query": benignQuery},
+		{"query": benignQuery, "dialect": "postgres"},
+	}})
+	if resp.Err != "" || len(resp.Batch) != 2 || resp.Batch[0].Reply == nil || resp.Batch[0].Reply.Tokens != nil ||
+		!strings.Contains(resp.Batch[1].Err, "dialect mismatch") {
+		t.Fatalf("outer-frame no_tokens not inherited: %+v", resp)
 	}
 	// The connection survived all of it.
 	if resp := roundTrip(map[string]any{"query": benignQuery}); resp.Err != "" || resp.Reply == nil {

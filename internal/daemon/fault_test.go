@@ -185,9 +185,9 @@ func TestPoolOutageReportsUnavailable(t *testing.T) {
 
 // TestPoolNoCrossTalkUnderFaults hammers a pool from many goroutines
 // while a disruptor closes live connections mid-flight. Every successful
-// reply must belong to the query that asked for it (the reply echoes the
-// query's token stream); transport errors are acceptable, mismatches are
-// not. Run under -race.
+// reply must belong to the query that asked for it (the reply to a legacy
+// frame echoes the query's token stream); transport errors are acceptable,
+// mismatches are not. Run under -race.
 func TestPoolNoCrossTalkUnderFaults(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -241,12 +241,14 @@ func TestPoolNoCrossTalkUnderFaults(t *testing.T) {
 			for i := 0; i < perWorker; i++ {
 				marker := fmt.Sprintf("%d", w*perWorker+i+1000)
 				query := "SELECT * FROM records WHERE ID=" + marker + " LIMIT 5"
-				reply, err := p.Analyze(query)
+				// A legacy frame, so the reply carries the query's tokens
+				// and shows which request it answers.
+				resp, err := p.do(context.Background(), wireRequest{Query: query})
 				if err != nil {
 					continue // transport faults are expected here
 				}
 				found := false
-				for _, tok := range reply.Tokens {
+				for _, tok := range resp.Reply.Tokens {
 					if tok.Text == marker {
 						found = true
 						break

@@ -45,9 +45,11 @@ func (m DegradeMode) String() string {
 	}
 }
 
-// HybridClient composes the deployed pieces exactly as Figure 5 shows:
-// queries go to the PTI daemon first; the returned token stream feeds the
-// in-application NTI analysis; the query is safe iff both agree. It is a
+// HybridClient composes the deployed pieces as Figure 5 shows: queries go
+// to the PTI daemon first, then to the in-application NTI analysis, and
+// the query is safe iff both agree. Unlike the paper's client it does not
+// reuse the daemon's token stream: it asks the daemon to leave it out, and
+// NTI lexes lazily, only when an input matches the query. It is a
 // thin front door over the shared internal/engine pipeline — a remote PTI
 // stage (transport plus degradation policy) followed by the standard NTI
 // stage — so metrics, tracing and audit recording are the engine's single
@@ -174,8 +176,9 @@ func NewHybridClient(transport Transport, ntiAnalyzer *nti.Analyzer, policy core
 }
 
 // remotePTIStage is the engine stage for daemon-backed PTI: one transport
-// round trip, the reply's token stream published (lazily decoded) for the
-// NTI stage, and the degradation policy applied to transport failures.
+// round trip and the degradation policy applied to transport failures. It
+// publishes no tokens, so the NTI stage lexes lazily exactly as it does
+// in Guard.
 type remotePTIStage struct {
 	transport Transport
 	degrade   DegradeMode
@@ -195,12 +198,10 @@ func (s remotePTIStage) Analyze(ctx context.Context, req engine.Request, st *eng
 	}
 	if err == nil {
 		// Fold the daemon's view of this check into our span: its lex and
-		// cover timings, cache outcome and cover evidence. The token
-		// stream decodes only if the NTI stage actually needs it. The raw
-		// reply is stashed for the profile stage, which converts the
-		// daemon's profile verdict without a second round trip.
+		// cover timings, cache outcome and cover evidence. The raw reply
+		// is stashed for the profile stage, which converts the daemon's
+		// profile verdict without a second round trip.
 		st.Span().Merge(reply.Trace)
-		st.PublishTokenSource(reply.TokenStream)
 		st.SetAux(reply)
 		return reply.Result(), nil
 	}

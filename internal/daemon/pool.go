@@ -288,10 +288,14 @@ func (p *Pool) AnalyzeSiteContext(ctx context.Context, site, query string) (*Ana
 	return p.analyzeReq(ctx, withTimeoutBudget(ctx, wireRequest{Query: query, Site: site, Dialect: wireDialect(p.cfg.Dialect)}))
 }
 
+// analyzeReq sends one analyze request, through the micro-batcher when
+// configured. Either way the frame asks for no token stream: a single
+// frame carries the flag itself, a batch frame once for all its items.
 func (p *Pool) analyzeReq(ctx context.Context, req wireRequest) (*AnalysisReply, error) {
 	if p.batch != nil {
 		return p.batch.analyze(ctx, req)
 	}
+	req.NoTokens = true
 	resp, err := p.do(ctx, req)
 	if err != nil {
 		return nil, err

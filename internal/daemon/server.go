@@ -439,7 +439,7 @@ func (s *Server) ServeConn(conn net.Conn) {
 			}
 			return
 		}
-		var resp wireResponse
+		var resp serverResponse
 		switch req.Op {
 		case "", "analyze":
 			s.analyzeOps.Add(1)
@@ -497,7 +497,7 @@ func dialectError(wire string, serving sqltoken.Dialect) string {
 // the deadline-bounded analysis, and verdict recording. Failures ride back
 // as resp.Err on the still-healthy stream — an overloaded, over-budget or
 // cross-dialect request costs one reply, not the connection.
-func (s *Server) handleAnalyze(req wireRequest, resp *wireResponse) {
+func (s *Server) handleAnalyze(req wireRequest, resp *serverResponse) {
 	sv := s.serving.Load()
 	analyzer := sv.Analyzer
 	if msg := dialectError(req.Dialect, analyzer.Dialect()); msg != "" {
@@ -536,7 +536,7 @@ func (s *Server) handleAnalyze(req wireRequest, resp *wireResponse) {
 	defer s.gate.Release()
 	span := s.tracer.Start(req.Query)
 	start := time.Now()
-	reply, err := analyzeCtx(ctx, analyzer, req.Query, span)
+	reply, err := analyzeCtx(ctx, analyzer, req.Query, span, !req.NoTokens)
 	if err != nil {
 		if errors.Is(err, core.ErrOverBudget) && ctx.Err() == nil {
 			// The analyzer hit a configured cost budget: distinct from a
@@ -570,7 +570,11 @@ func (s *Server) handleAnalyze(req wireRequest, resp *wireResponse) {
 		s.collector.ObserveStageDurations(span.LexNs, span.PTICoverNs, span.NTIMatchNs, span.NTIPrefilterNs, span.ProfileNs)
 		reply.Trace = span
 	}
-	resp.Reply = reply
+	if req.NoTokens {
+		resp.Reply = reply
+	} else {
+		resp.Reply = (*legacyReply)(reply)
+	}
 }
 
 // handleBatch runs one "batch" request: every item is an analyze request
@@ -580,7 +584,7 @@ func (s *Server) handleAnalyze(req wireRequest, resp *wireResponse) {
 // (expired budget, shed, over budget) costs only its own slot; siblings
 // and the connection are unaffected. A batch above the item cap is refused
 // whole, on the still-healthy stream.
-func (s *Server) handleBatch(req wireRequest, resp *wireResponse) {
+func (s *Server) handleBatch(req wireRequest, resp *serverResponse) {
 	if len(req.Batch) == 0 {
 		s.errorOps.Add(1)
 		resp.Err = "empty batch"
@@ -592,7 +596,7 @@ func (s *Server) handleBatch(req wireRequest, resp *wireResponse) {
 		return
 	}
 	s.batchItems.Add(uint64(len(req.Batch)))
-	resp.Batch = make([]wireResponse, len(req.Batch))
+	resp.Batch = make([]serverResponse, len(req.Batch))
 	for i := range req.Batch {
 		item := req.Batch[i]
 		if item.Dialect == "" {
@@ -606,6 +610,8 @@ func (s *Server) handleBatch(req wireRequest, resp *wireResponse) {
 			// a mismatched pin refuses only the item carrying it.
 			item.Version = req.Version
 		}
+		// And the frame's no_tokens flag covers every item.
+		item.NoTokens = item.NoTokens || req.NoTokens
 		switch item.Op {
 		case "", "analyze":
 			s.analyzeOps.Add(1)
@@ -627,7 +633,7 @@ func (s *Server) handleBatch(req wireRequest, resp *wireResponse) {
 // bundle and any previously staged one intact, and the failure rides the
 // healthy stream. Re-preparing replaces the staged bundle — prepare is
 // idempotent from the coordinator's point of view.
-func (s *Server) handlePrepare(resp *wireResponse) {
+func (s *Server) handlePrepare(resp *serverResponse) {
 	s.rollMu.Lock()
 	defer s.rollMu.Unlock()
 	if s.reloader == nil {
@@ -664,7 +670,7 @@ func selftest(ctx context.Context, sv *Serving) error {
 	if sv == nil || sv.Analyzer == nil {
 		return errors.New("staged bundle has no analyzer")
 	}
-	if _, err := analyzeCtx(ctx, sv.Analyzer, "SELECT 1", nil); err != nil {
+	if _, err := analyzeCtx(ctx, sv.Analyzer, "SELECT 1", nil, false); err != nil {
 		return fmt.Errorf("probe analysis: %w", err)
 	}
 	if sv.Profiles != nil {
@@ -681,7 +687,7 @@ func selftest(ctx context.Context, sv *Serving) error {
 // bundle kept — the coordinator decides whether to re-prepare or abort.
 // With nothing staged, commit is refused (a crash-recovered daemon lost
 // its staged state with the process, and the coordinator must re-prepare).
-func (s *Server) handleCommit(req wireRequest, resp *wireResponse) {
+func (s *Server) handleCommit(req wireRequest, resp *serverResponse) {
 	s.rollMu.Lock()
 	defer s.rollMu.Unlock()
 	if s.staged == nil {
@@ -706,7 +712,7 @@ func (s *Server) handleCommit(req wireRequest, resp *wireResponse) {
 // handleAbort discards any staged bundle. Idempotent: aborting with
 // nothing staged succeeds, so a coordinator cleaning up after a partial
 // prepare can abort the whole fleet without tracking who staged what.
-func (s *Server) handleAbort(resp *wireResponse) {
+func (s *Server) handleAbort(resp *serverResponse) {
 	s.rollMu.Lock()
 	s.staged = nil
 	s.rollMu.Unlock()

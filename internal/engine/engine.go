@@ -76,13 +76,8 @@ type Request struct {
 type State struct {
 	span *trace.Span
 
-	// tokens is the shared SQL token stream; nil until a stage lexes (or a
-	// tokenSource is realized). tokenSource defers an expensive conversion
-	// (e.g. decoding a daemon reply's token stream) until a later stage
-	// actually asks for tokens.
-	tokens      []sqltoken.Token
-	haveTokens  bool
-	tokenSource func() []sqltoken.Token
+	// tokens is the shared SQL token stream; nil until a stage lexes.
+	tokens []sqltoken.Token
 
 	// aux carries analyzer-family-specific shared state, such as the shell
 	// token stream of the oscmd pipeline.
@@ -97,17 +92,10 @@ type State struct {
 // all Span recording methods are nil-safe).
 func (st *State) Span() *trace.Span { return st.span }
 
-// Tokens returns the shared token stream, realizing a deferred token
-// source if one was published. Nil means no stage has lexed yet: the
-// caller may lex lazily and should then PublishTokens for later stages.
-func (st *State) Tokens() []sqltoken.Token {
-	if !st.haveTokens && st.tokenSource != nil {
-		st.tokens = st.tokenSource()
-		st.haveTokens = true
-		st.tokenSource = nil
-	}
-	return st.tokens
-}
+// Tokens returns the shared token stream. Nil means no stage has lexed
+// yet: the caller may lex lazily and should then PublishTokens for later
+// stages.
+func (st *State) Tokens() []sqltoken.Token { return st.tokens }
 
 // PublishTokens shares a lexed token stream with later stages. Publishing
 // nil is a no-op, so stages can pass through their possibly-empty lex
@@ -117,18 +105,6 @@ func (st *State) PublishTokens(toks []sqltoken.Token) {
 		return
 	}
 	st.tokens = toks
-	st.haveTokens = true
-	st.tokenSource = nil
-}
-
-// PublishTokenSource defers token production until a later stage calls
-// Tokens — used by remote stages whose wire reply carries a token stream
-// that is only worth decoding when an NTI stage will actually run.
-func (st *State) PublishTokenSource(f func() []sqltoken.Token) {
-	if st.haveTokens {
-		return
-	}
-	st.tokenSource = f
 }
 
 // Aux returns the pipeline-family scratch value set by SetAux.

@@ -39,7 +39,7 @@ func TestGuardNeverPanics(t *testing.T) {
 }
 
 // TestGuardConcurrent exercises one Guard from many goroutines (run under
-// -race in CI): the analyzers, caches and MRU must be safe to share.
+// -race in CI): the analyzers and caches must be safe to share.
 func TestGuardConcurrent(t *testing.T) {
 	g := robustGuard(t)
 	var wg sync.WaitGroup

@@ -7,19 +7,22 @@
 // least one valid SQL token are retained: a fragment such as "hello world"
 // can never cover a critical token and would only slow matching down.
 //
-// Three matchers are provided:
+// Two matchers are provided, both used through the Matcher interface so
+// PTI and benchmarks can swap them:
 //
+//   - ACMatcher: an Aho–Corasick automaton, stored as flat arrays, that
+//     reports all occurrences of all fragments in a single pass over the
+//     query. Production PTI uses it.
 //   - NaiveMatcher: the textbook scan the paper describes as O(n·m²) —
 //     every fragment is searched for at every query position. Kept as the
 //     "unoptimized PTI" baseline for Figure 7 and the matcher ablation.
-//   - ACMatcher: an Aho–Corasick automaton that reports all occurrences of
-//     all fragments in a single pass over the query.
-//   - Both are used through the Matcher interface so PTI and benchmarks can
-//     swap them.
 //
 // The MRU type implements the paper's first PTI optimization: a
 // most-recently-used list of fragments that matched recent queries, tried
-// first with a cheap targeted check before falling back to a full scan.
+// first with a cheap targeted check before falling back to a full scan. It
+// paid for the paper's per-fragment scan; on top of ACMatcher it only adds
+// a lock and a copy per critical token, so production PTI runs without it
+// and only the paper's Figure 7 and ablation configurations turn it on.
 package fragments
 
 import (
@@ -162,8 +165,11 @@ type Occurrence struct {
 
 // Matcher locates all fragment occurrences in a query.
 type Matcher interface {
-	// FindAll returns every occurrence of every fragment in query, in
-	// unspecified order.
+	// FindAll returns every occurrence of every fragment in query. The
+	// order is the matcher's own: ACMatcher documents its order,
+	// NaiveMatcher groups occurrences by fragment ID. PTI reports each
+	// critical token's first covering occurrence as its marking, so the
+	// order picks the marking; it never changes a verdict.
 	FindAll(query string) []Occurrence
 }
 
@@ -199,105 +205,156 @@ func (nm *NaiveMatcher) FindAll(query string) []Occurrence {
 
 // ACMatcher is an Aho–Corasick automaton over the fragment set. Building is
 // O(total fragment bytes); FindAll is O(len(query) + matches).
+//
+// FindAll reports occurrences by End ascending and, among occurrences that
+// end at the same byte, longer fragment first (the order of the dictionary
+// suffix chain). PTI takes each critical token's first covering occurrence
+// as its positive marking, so this order is part of the contract.
+//
+// The automaton is stored flat, with no per-node allocation. Nodes are
+// numbered breadth-first with each node's children in ascending label
+// order, so every node but the root is the target of exactly one trie
+// edge, and edge e leads to node e+1: node u's edges are
+// labels[edges[u]:edges[u+1]]. The root, which has the most children and
+// is where every failed match ends up, also has a dense 256-entry goto
+// table.
 type ACMatcher struct {
-	set   *Set
-	nodes []acNode
-}
-
-type acNode struct {
-	next map[byte]int32
-	fail int32
-	// out lists fragment IDs ending at this node.
+	set *Set
+	// root is the root's goto table; 0 means the byte keeps the scan at
+	// the root.
+	root   [256]int32
+	edges  []int32
+	labels []byte
+	fail   []int32
+	// dict is the nearest proper suffix node (via fail links) that ends a
+	// fragment, enabling O(matches) enumeration; 0 means none, since the
+	// root ends no fragment.
+	dict []int32
+	// out is the ID of the fragment ending at the node, or -1. A Set holds
+	// no duplicates, so at most one fragment ends at any node.
 	out []int32
-	// dict is the nearest ancestor-via-fail that has output, enabling
-	// O(matches) enumeration.
-	dict int32
 }
 
 var _ Matcher = (*ACMatcher)(nil)
 
 // NewACMatcher builds the automaton for set.
 func NewACMatcher(set *Set) *ACMatcher {
-	m := &ACMatcher{set: set}
-	m.nodes = []acNode{{next: map[byte]int32{}, fail: 0, dict: -1}}
-	// Trie construction.
+	// The trie is first built as first-child/next-sibling lists, siblings
+	// kept in ascending label order so the breadth-first flattening below
+	// needs no sort. Node 0 is the root, which is nobody's child or
+	// sibling, so 0 also means "none" in child and sib.
+	size := 1
+	for _, f := range set.frags {
+		size += len(f)
+	}
+	child := make([]int32, 1, size)
+	sib := make([]int32, 1, size)
+	label := make([]byte, 1, size)
+	term := make([]int32, 1, size)
+	term[0] = -1
 	for id, f := range set.frags {
 		cur := int32(0)
 		for i := 0; i < len(f); i++ {
 			c := f[i]
-			nxt, ok := m.nodes[cur].next[c]
-			if !ok {
-				nxt = int32(len(m.nodes))
-				m.nodes = append(m.nodes, acNode{next: map[byte]int32{}, dict: -1})
-				m.nodes[cur].next[c] = nxt
+			prev, n := int32(-1), child[cur]
+			for n != 0 && label[n] < c {
+				prev, n = n, sib[n]
 			}
-			cur = nxt
+			if n == 0 || label[n] != c {
+				v := int32(len(label))
+				child = append(child, 0)
+				sib = append(sib, n)
+				label = append(label, c)
+				term = append(term, -1)
+				if prev < 0 {
+					child[cur] = v
+				} else {
+					sib[prev] = v
+				}
+				n = v
+			}
+			cur = n
 		}
-		m.nodes[cur].out = append(m.nodes[cur].out, int32(id))
+		term[cur] = int32(id)
 	}
-	// BFS failure links.
-	queue := make([]int32, 0, len(m.nodes))
-	for _, v := range m.nodes[0].next {
-		m.nodes[v].fail = 0
-		queue = append(queue, v)
+
+	// Flatten breadth-first: order[k] is the trie node that becomes node k.
+	n := len(label)
+	m := &ACMatcher{
+		set:    set,
+		edges:  make([]int32, n+1),
+		labels: make([]byte, n-1),
+		fail:   make([]int32, n),
+		dict:   make([]int32, n),
+		out:    make([]int32, n),
 	}
-	for qi := 0; qi < len(queue); qi++ {
-		u := queue[qi]
-		for c, v := range m.nodes[u].next {
-			// Find failure target for v.
-			f := m.nodes[u].fail
-			for {
-				if t, ok := m.nodes[f].next[c]; ok && t != v {
-					m.nodes[v].fail = t
-					break
-				}
-				if f == 0 {
-					m.nodes[v].fail = 0
-					break
-				}
-				f = m.nodes[f].fail
+	order := make([]int32, 1, n)
+	for k := 0; k < n; k++ {
+		m.edges[k] = int32(len(order) - 1)
+		m.out[k] = term[order[k]]
+		for c := child[order[k]]; c != 0; c = sib[c] {
+			m.labels[len(order)-1] = label[c]
+			order = append(order, c)
+		}
+	}
+	m.edges[n] = int32(n - 1)
+	for e := m.edges[0]; e < m.edges[1]; e++ {
+		m.root[m.labels[e]] = e + 1
+	}
+
+	// Failure and dictionary links, breadth-first: a node's links point to
+	// shallower nodes, whose own links are already set.
+	for u := int32(0); u < int32(n); u++ {
+		for e := m.edges[u]; e < m.edges[u+1]; e++ {
+			v := e + 1
+			f := int32(0)
+			if u != 0 {
+				f = m.step(m.fail[u], m.labels[e])
 			}
-			fv := m.nodes[v].fail
-			if len(m.nodes[fv].out) > 0 {
-				m.nodes[v].dict = fv
+			m.fail[v] = f
+			if m.out[f] >= 0 {
+				m.dict[v] = f
 			} else {
-				m.nodes[v].dict = m.nodes[fv].dict
+				m.dict[v] = m.dict[f]
 			}
-			queue = append(queue, v)
 		}
 	}
 	return m
 }
 
-// FindAll implements Matcher.
+// step returns the state after reading c in state s.
+func (m *ACMatcher) step(s int32, c byte) int32 {
+	for s != 0 {
+		for e := m.edges[s]; e < m.edges[s+1]; e++ {
+			if l := m.labels[e]; l >= c {
+				if l == c {
+					return e + 1
+				}
+				break
+			}
+		}
+		s = m.fail[s]
+	}
+	return m.root[c]
+}
+
+// FindAll implements Matcher, in the order documented on ACMatcher.
 func (m *ACMatcher) FindAll(query string) []Occurrence {
 	var out []Occurrence
 	cur := int32(0)
 	for i := 0; i < len(query); i++ {
-		c := query[i]
-		for {
-			if nxt, ok := m.nodes[cur].next[c]; ok {
-				cur = nxt
-				break
-			}
-			if cur == 0 {
-				break
-			}
-			cur = m.nodes[cur].fail
+		cur = m.step(cur, query[i])
+		n := cur
+		if m.out[n] < 0 {
+			n = m.dict[n]
 		}
-		// Emit matches ending at i via output and dict-suffix chain.
-		for n := cur; n >= 0; n = m.nodes[n].dict {
-			for _, id := range m.nodes[n].out {
-				flen := len(m.set.frags[id])
-				out = append(out, Occurrence{
-					FragmentID: int(id),
-					Start:      i + 1 - flen,
-					End:        i + 1,
-				})
-			}
-			if n == 0 {
-				break
-			}
+		for ; n != 0; n = m.dict[n] {
+			id := m.out[n]
+			out = append(out, Occurrence{
+				FragmentID: int(id),
+				Start:      i + 1 - len(m.set.frags[id]),
+				End:        i + 1,
+			})
 		}
 	}
 	return out

@@ -139,6 +139,10 @@ type CacheStats struct {
 	QueryHits     uint64
 	StructureHits uint64
 	Misses        uint64
+	// StructureRefused counts safe verdicts kept out of the structure
+	// cache because a covering fragment occurrence overlaps a literal the
+	// structure key blanks (see structureSound).
+	StructureRefused uint64
 }
 
 // Cached wraps an Analyzer with the PTI query cache and query-structure
@@ -156,9 +160,10 @@ type Cached struct {
 	queries  *shardedLRU
 	structs  *shardedLRU
 
-	queryHits     atomic.Uint64
-	structureHits atomic.Uint64
-	misses        atomic.Uint64
+	queryHits        atomic.Uint64
+	structureHits    atomic.Uint64
+	misses           atomic.Uint64
+	structureRefused atomic.Uint64
 }
 
 // NewCached wraps analyzer with the given cache mode and per-cache capacity.
@@ -278,18 +283,55 @@ func (c *Cached) AnalyzeLazyCtx(ctx context.Context, query string, toks []sqltok
 			c.queries.put(c.dialect, query, true)
 		}
 		if c.structs != nil {
-			c.structs.put(c.dialect, structKey, true)
+			if structureSound(toks, res.Markings) {
+				c.structs.put(c.dialect, structKey, true)
+			} else {
+				c.structureRefused.Add(1)
+			}
 		}
 	}
 	return res, toks, nil
 }
 
+// structureSound reports whether a safe verdict may be cached under the
+// query's structure key, which blanks every number token and the body of
+// every string token (the bytes between its quotes; the quotes stay in
+// the key). Other queries with that key differ from query only in those
+// bytes, so the verdict carries over exactly when no positive marking —
+// the fragment occurrence covering a critical token — reaches into them:
+// a fragment " LIMIT 5" covers LIMIT in "... LIMIT 5" but occurs nowhere
+// in "... LIMIT 6". A marking that spans both quotes of an empty string
+// also overlaps, since other queries put bytes between them.
+func structureSound(toks []sqltoken.Token, marks []core.Marking) bool {
+	for _, t := range toks {
+		var lo, hi int
+		switch t.Kind {
+		case sqltoken.KindNumber:
+			lo, hi = t.Start, t.End
+		case sqltoken.KindString:
+			lo, hi = t.Start+1, t.End
+			if !t.Unterminated {
+				hi--
+			}
+		default:
+			continue
+		}
+		for _, m := range marks {
+			if m.Span.Start < hi && lo < m.Span.End {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // Stats returns a snapshot of cache counters.
 func (c *Cached) Stats() CacheStats {
 	return CacheStats{
-		QueryHits:     c.queryHits.Load(),
-		StructureHits: c.structureHits.Load(),
-		Misses:        c.misses.Load(),
+		QueryHits:        c.queryHits.Load(),
+		StructureHits:    c.structureHits.Load(),
+		Misses:           c.misses.Load(),
+		StructureRefused: c.structureRefused.Load(),
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"joza/internal/fragments"
 )
 
 // mk builds a MySQL-dialect lruKey for the plain-LRU unit tests.
@@ -85,8 +87,18 @@ func TestCachedQueryCache(t *testing.T) {
 	}
 }
 
+// structureFragments is appFragments with the tail " LIMIT " instead of
+// " LIMIT 5": no covering occurrence reaches into a number literal, so
+// safe verdicts over it may be cached by structure.
+func structureFragments() *fragments.Set {
+	return fragments.NewSet([]string{
+		"SELECT * FROM records WHERE ID=",
+		" LIMIT ",
+	})
+}
+
 func TestCachedStructureCache(t *testing.T) {
-	a := New(appFragments())
+	a := New(structureFragments())
 	c := NewCached(a, CacheQueryAndStructure, 16)
 	// Same structure, different data values: second hits structure cache.
 	if c.Analyze("SELECT * FROM records WHERE ID=5 LIMIT 5", nil).Attack {
@@ -103,6 +115,59 @@ func TestCachedStructureCache(t *testing.T) {
 	c.Analyze("SELECT * FROM records WHERE ID=77 LIMIT 5", nil)
 	if got := c.Stats().QueryHits; got != 1 {
 		t.Errorf("query hits after promotion = %d", got)
+	}
+}
+
+// TestStructureCacheVerdictTransparent is the regression test for a
+// structure-cache entry outliving its soundness: " LIMIT 5" covers LIMIT
+// only while the literal is 5, so caching "... LIMIT 5" by structure
+// made "... LIMIT 6" safe, where cold analysis flags it.
+func TestStructureCacheVerdictTransparent(t *testing.T) {
+	first := "SELECT * FROM records WHERE ID=1 LIMIT 5"
+	second := "SELECT * FROM records WHERE ID=1 LIMIT 6"
+	for _, mode := range []CacheMode{CacheNone, CacheQuery, CacheQueryAndStructure} {
+		c := NewCached(New(tracedFragments()), mode, 16)
+		if res := c.Analyze(first, nil); res.Attack {
+			t.Fatalf("%v: %q flagged: %v", mode, first, res.Reasons)
+		}
+		if !c.Analyze(second, nil).Attack {
+			t.Errorf("%v: %q reported safe after %q; cold analysis flags it", mode, second, first)
+		}
+		want := uint64(0)
+		if mode == CacheQueryAndStructure {
+			want = 1
+		}
+		if st := c.Stats(); st.StructureRefused != want || st.StructureHits != 0 {
+			t.Errorf("%v: stats %+v, want %d refused and no structure hit", mode, st, want)
+		}
+	}
+}
+
+func TestStructureSound(t *testing.T) {
+	const head = "SELECT * FROM t WHERE a="
+	for _, c := range []struct {
+		tail  string // the fragment covering AND
+		query string
+		sound bool
+	}{
+		{" AND b=", head + "5 AND b=7", true},
+		{" AND b=7", head + "5 AND b=7", false},
+		// The quotes stay in the structure key, the body does not.
+		{" AND b='", head + "5 AND b='y'", true},
+		{" AND b='y", head + "5 AND b='y'", false},
+		// Other queries put bytes between the quotes of ''.
+		{"' AND b=", head + "'' AND b=1", true},
+		{"'' AND b=", head + "'' AND b=1", false},
+	} {
+		a := New(fragments.NewSet([]string{head, c.tail}))
+		toks := a.Dialect().Lex(c.query)
+		res := a.Analyze(c.query, toks)
+		if res.Attack {
+			t.Fatalf("%q flagged: %v", c.query, res.Reasons)
+		}
+		if got := structureSound(toks, res.Markings); got != c.sound {
+			t.Errorf("%q over %q: structureSound = %v, want %v", c.query, c.tail, got, c.sound)
+		}
 	}
 }
 

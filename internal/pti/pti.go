@@ -10,14 +10,19 @@
 // combined: the critical token OR cannot be assembled from fragments "O"
 // and "R".
 //
-// Two of the paper's optimizations are implemented and individually
-// switchable for ablation:
+// Production PTI runs the Aho–Corasick matcher (fragments.ACMatcher) with
+// the paper's parse-first optimization: critical tokens are located
+// before matching, one occurrence scan runs per query, and only the
+// critical tokens' coverage is verified (instead of marking the whole
+// query). WithoutParseFirst turns it off for ablation.
 //
-//   - parse-first: critical tokens are located before matching, and only
-//     their coverage is verified (instead of marking the whole query);
-//   - MRU: fragments that recently covered tokens are tried first with a
-//     targeted window check, exploiting the small SQL working set of web
-//     applications.
+// The paper's other optimization, the MRU fragment list, is opt-in
+// (WithMRU): fragments that recently covered tokens are tried first with a
+// targeted window check. It paid for the paper's per-fragment scan; on top
+// of the automaton it only adds a global lock and a copy per critical
+// token, and it makes the reported markings depend on query history. Only
+// the paper's Figure 7 and ablation configurations (package workload) use
+// it.
 package pti
 
 import (
@@ -60,13 +65,14 @@ func WithNaiveMatcher() Option {
 	return func(a *Analyzer) { a.matcher = fragments.NewNaiveMatcher(a.set) }
 }
 
-// WithoutMRU disables the most-recently-used fragment cache.
-func WithoutMRU() Option {
-	return func(a *Analyzer) { a.mru = nil }
-}
-
-// WithMRUCapacity sets the MRU capacity (default 64).
-func WithMRUCapacity(n int) Option {
+// WithMRU adds the paper's most-recently-used fragment list, holding n
+// fragment IDs (64 when n < 1): each critical token first tries the
+// recently covering fragments with a targeted window check, then falls
+// back to the full occurrence scan. Verdicts do not change, but markings
+// then depend on which fragments recent queries used. Production PTI runs
+// without it; it reproduces the paper's scan+MRU configuration for
+// Figure 7 and the ablations.
+func WithMRU(n int) Option {
 	return func(a *Analyzer) { a.mru = fragments.NewMRU(n) }
 }
 
@@ -108,11 +114,11 @@ func WithStrictPolicy() Option {
 	return func(a *Analyzer) { a.critical = sqltoken.Token.CriticalStrict }
 }
 
-// New returns an Analyzer over set with all optimizations enabled.
+// New returns the production analyzer over set: the Aho–Corasick matcher
+// with parse-first and no MRU.
 func New(set *fragments.Set, opts ...Option) *Analyzer {
 	a := &Analyzer{
 		set:        set,
-		mru:        fragments.NewMRU(64),
 		parseFirst: true,
 		critical:   sqltoken.Token.Critical,
 	}
@@ -185,9 +191,11 @@ func (a *Analyzer) AnalyzeCtx(ctx context.Context, query string, toks []sqltoken
 	return a.analyzeFullMarking(query, toks, span), nil
 }
 
-// analyzeParseFirst verifies coverage of each critical token directly,
-// trying MRU fragments with a targeted window check before falling back to
-// a single full occurrence scan.
+// analyzeParseFirst verifies coverage of each critical token against one
+// full occurrence scan, made on the first critical token; with WithMRU,
+// recently covering fragments are tried first with a targeted window
+// check. Without the MRU the first covering occurrence in the matcher's
+// order is the token's marking, so markings depend only on the query.
 func (a *Analyzer) analyzeParseFirst(query string, toks []sqltoken.Token, span *trace.Span) core.Result {
 	res := core.Result{Analyzer: core.AnalyzerPTI}
 	var occs []fragments.Occurrence

@@ -115,11 +115,11 @@ func TestStrategiesAgree(t *testing.T) {
 	}
 	variants := []*Analyzer{
 		New(set),
-		New(set, WithoutMRU()),
+		New(set, WithMRU(64)),
 		New(set, WithoutParseFirst()),
-		New(set, WithNaiveMatcher()),
-		New(set, WithNaiveMatcher(), WithoutParseFirst(), WithoutMRU()),
-		New(set, WithMRUCapacity(2)),
+		New(set, WithNaiveMatcher(), WithMRU(64)),
+		New(set, WithNaiveMatcher(), WithoutParseFirst()),
+		New(set, WithMRU(2)),
 	}
 	for _, q := range queries {
 		want := variants[0].Analyze(q, nil).Attack
@@ -132,7 +132,7 @@ func TestStrategiesAgree(t *testing.T) {
 }
 
 func TestMRUWarmPathCovers(t *testing.T) {
-	a := New(appFragments())
+	a := New(appFragments(), WithMRU(64))
 	q := "SELECT * FROM records WHERE ID=7 LIMIT 5"
 	// First analysis populates the MRU; second should use it and still be
 	// correct.

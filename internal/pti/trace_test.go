@@ -63,7 +63,7 @@ func TestAnalyzeTracedRecordsUncoveredEvidence(t *testing.T) {
 }
 
 func TestCachedTracedRecordsOutcomes(t *testing.T) {
-	c := NewCached(New(tracedFragments()), CacheQueryAndStructure, 64)
+	c := NewCached(New(structureFragments()), CacheQueryAndStructure, 64)
 	tr := trace.New(trace.Config{SampleEvery: 1})
 	query := "SELECT * FROM records WHERE ID=7 LIMIT 5"
 

@@ -98,7 +98,8 @@ type PTIVariant struct {
 	AhoCorasick bool
 	// NoParseFirst disables the parse-first optimization.
 	NoParseFirst bool
-	// NoMRU disables the MRU fragment cache.
+	// NoMRU leaves out the paper's MRU fragment list, which every other
+	// variant adds (pti.WithMRU(64)); production PTI runs without it.
 	NoMRU bool
 	// Cache selects the application-side cache mode.
 	Cache pti.CacheMode
@@ -121,8 +122,8 @@ func (v PTIVariant) buildAnalyzer(site *Site) *pti.Cached {
 	if v.NoParseFirst {
 		opts = append(opts, pti.WithoutParseFirst())
 	}
-	if v.NoMRU {
-		opts = append(opts, pti.WithoutMRU())
+	if !v.NoMRU {
+		opts = append(opts, pti.WithMRU(64))
 	}
 	return pti.NewCached(pti.New(site.Fragments, opts...), pti.CacheNone, 1)
 }

@@ -208,17 +208,10 @@ func (c *Client) Analyze(query string) (*AnalysisReply, error) {
 // the remaining deadline budget rides in the request so the server
 // abandons work the client will no longer wait for.
 func (c *Client) AnalyzeContext(ctx context.Context, query string) (*AnalysisReply, error) {
-	resp, err := c.roundTrip(ctx, withTimeoutBudget(ctx, wireRequest{Query: query, Dialect: c.wireDialect(), NoTokens: true}))
-	if err != nil {
-		return nil, err
-	}
-	if resp.Reply == nil {
-		return nil, errors.New("daemon: analyze verb returned no payload")
-	}
-	return resp.Reply, nil
+	return c.AnalyzeSiteContext(ctx, "", query)
 }
 
-// AnalyzeSiteContext implements siteTransport: AnalyzeContext with the
+// AnalyzeSiteContext implements Transport: AnalyzeContext with the
 // call-site identity riding in the request so the server runs the
 // query-skeleton profile stage. Old servers ignore the field and reply
 // without a profile verdict.

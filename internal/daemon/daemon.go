@@ -191,15 +191,6 @@ func analyzeCtx(ctx context.Context, analyzer *pti.Cached, query string, span *t
 	return reply, nil
 }
 
-// siteTransport is the optional transport extension that carries a
-// call-site identity with the analyze request, so the daemon can run the
-// query-skeleton profile stage. Kept separate from Transport so existing
-// third-party transports keep compiling; transports without it simply
-// never produce profile verdicts.
-type siteTransport interface {
-	AnalyzeSiteContext(ctx context.Context, site, query string) (*AnalysisReply, error)
-}
-
 // profileReplyFor computes the profile verdict one of the daemon-side
 // transports attaches to an analyze reply: learning mode records and
 // reports "learned"; enforcement classifies the skeleton against the
@@ -239,6 +230,11 @@ type Transport interface {
 	// the remaining deadline budget in the request so the server honors
 	// it, and a canceled ctx aborts the round trip with ctx's error.
 	AnalyzeContext(ctx context.Context, query string) (*AnalysisReply, error)
+	// AnalyzeSiteContext is AnalyzeContext with the call-site identity
+	// riding in the request, so the daemon runs the query-skeleton
+	// profile stage. An empty site sends the same frame AnalyzeContext
+	// does.
+	AnalyzeSiteContext(ctx context.Context, site, query string) (*AnalysisReply, error)
 	// Close releases the transport.
 	Close() error
 }
@@ -253,7 +249,6 @@ type Direct struct {
 }
 
 var _ Transport = (*Direct)(nil)
-var _ siteTransport = (*Direct)(nil)
 
 // NewDirect returns a Direct transport over analyzer.
 func NewDirect(analyzer *pti.Cached) *Direct {
@@ -278,7 +273,7 @@ func (d *Direct) AnalyzeContext(ctx context.Context, query string) (*AnalysisRep
 	return analyzeCtx(ctx, d.analyzer, query, nil, false)
 }
 
-// AnalyzeSiteContext implements siteTransport: AnalyzeContext plus the
+// AnalyzeSiteContext implements Transport: AnalyzeContext plus the
 // query-skeleton profile verdict for site.
 func (d *Direct) AnalyzeSiteContext(ctx context.Context, site, query string) (*AnalysisReply, error) {
 	reply, err := analyzeCtx(ctx, d.analyzer, query, nil, false)

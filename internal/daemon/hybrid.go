@@ -189,13 +189,7 @@ func (s remotePTIStage) Name() string { return core.AnalyzerPTI }
 
 // Analyze implements engine.Analyzer.
 func (s remotePTIStage) Analyze(ctx context.Context, req engine.Request, st *engine.State) (core.Result, error) {
-	var reply *AnalysisReply
-	var err error
-	if stx, ok := s.transport.(siteTransport); ok && req.Site != "" {
-		reply, err = stx.AnalyzeSiteContext(ctx, req.Site, req.Query)
-	} else {
-		reply, err = s.transport.AnalyzeContext(ctx, req.Query)
-	}
+	reply, err := s.transport.AnalyzeSiteContext(ctx, req.Site, req.Query)
 	if err == nil {
 		// Fold the daemon's view of this check into our span: its lex and
 		// cover timings, cache outcome and cover evidence. The raw reply
@@ -287,9 +281,7 @@ func (h *HybridClient) Check(query string, inputs []nti.Input) (core.Verdict, er
 
 // CheckContextAt is CheckContext with a call-site identity: the site rides
 // to the daemon in the wire request, and the daemon's query-skeleton
-// profile verdict becomes the third analyzer vote. Requires a transport
-// with site support (Client, Pool, ShardedPool, Direct); others analyze
-// without the profile stage.
+// profile verdict becomes the third analyzer vote.
 func (h *HybridClient) CheckContextAt(ctx context.Context, site, query string, inputs []nti.Input) (core.Verdict, error) {
 	return h.eng.Check(ctx, engine.Request{Query: query, Inputs: inputs, Site: site, Dialect: h.dialect})
 }

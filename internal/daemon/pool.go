@@ -277,10 +277,10 @@ func (p *Pool) Analyze(query string) (*AnalysisReply, error) {
 // batch frame, ctx still bounds this caller's wait, and the item's budget
 // still rides to the server.
 func (p *Pool) AnalyzeContext(ctx context.Context, query string) (*AnalysisReply, error) {
-	return p.analyzeReq(ctx, withTimeoutBudget(ctx, wireRequest{Query: query, Dialect: wireDialect(p.cfg.Dialect)}))
+	return p.AnalyzeSiteContext(ctx, "", query)
 }
 
-// AnalyzeSiteContext implements siteTransport: AnalyzeContext with the
+// AnalyzeSiteContext implements Transport: AnalyzeContext with the
 // call-site identity in the request so the server runs the query-skeleton
 // profile stage. Site-carrying requests coalesce through the micro-batcher
 // like any other — the site rides in the batch item.

@@ -106,7 +106,7 @@ func TestServerSetProfilesHotSwap(t *testing.T) {
 	if reply.Profile != nil {
 		t.Fatalf("profile verdict before any store: %+v", reply.Profile)
 	}
-	srv.SetProfiles(trainedStore())
+	srv.SetServing(&Serving{Analyzer: newAnalyzer(), Profiles: trainedStore()})
 	reply, err = c.AnalyzeSiteContext(ctx, "plugin:records", attackQuery)
 	if err != nil {
 		t.Fatal(err)

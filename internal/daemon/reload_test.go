@@ -41,12 +41,12 @@ func TestSetAnalyzerHotSwap(t *testing.T) {
 		t.Fatal("unknown query should be flagged before reload")
 	}
 
-	// The installer picked up the plugin; the analyzer is swapped.
+	// The installer picked up the plugin; the next generation swaps in.
 	newSet := fragments.NewSet([]string{
 		"SELECT a FROM t WHERE id=",
 		"SELECT b FROM u WHERE id=",
 	})
-	srv.SetAnalyzer(pti.NewCached(pti.New(newSet), pti.CacheNone, 1))
+	srv.SetServing(&Serving{Analyzer: pti.NewCached(pti.New(newSet), pti.CacheNone, 1)})
 
 	reply, err = c.Analyze(newPluginQuery)
 	if err != nil {

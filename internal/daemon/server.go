@@ -83,12 +83,9 @@ type Serving struct {
 // daemons).
 type Server struct {
 	// serving is the whole analysis generation checks run against;
-	// swapped atomically so in-flight requests finish on the bundle they
-	// loaded. updateMu serializes the copy-on-write of the partial
-	// setters (SetAnalyzer/SetProfiles) against each other and against
-	// commit, so concurrent partial swaps cannot lose each other's half.
-	serving  atomic.Pointer[Serving]
-	updateMu sync.Mutex
+	// swapped whole and atomically, so in-flight requests finish on the
+	// bundle they loaded.
+	serving atomic.Pointer[Serving]
 
 	collector *metrics.Collector
 	tracer    *trace.Tracer
@@ -178,7 +175,7 @@ func WithAdmission(limit int, maxWait time.Duration) ServerOption {
 
 // WithProfiles loads a query-skeleton profile store: analyze requests
 // that carry a call site get a profile verdict on the reply. Swap later
-// stores with SetProfiles.
+// generations in with SetServing.
 func WithProfiles(st *profile.Store) ServerOption {
 	return func(s *Server) {
 		sv := *s.serving.Load()
@@ -245,7 +242,7 @@ func NewServer(analyzer *pti.Cached, opts ...ServerOption) *Server {
 // Stats returns the daemon's counter snapshot: checks and attacks served
 // (PTI only — NTI runs application-side), per-op wire activity, the
 // analyzer's cache totals and per-shard activity, and analysis latency
-// quantiles. Counters survive SetAnalyzer swaps; cache fields reflect the
+// quantiles. Counters survive SetServing swaps; cache fields reflect the
 // current analyzer.
 func (s *Server) Stats() StatsReply {
 	snap := s.collector.Snapshot()
@@ -283,42 +280,11 @@ func (s *Server) Stats() StatsReply {
 	return snap
 }
 
-// SetAnalyzer atomically swaps the analyzer; in-flight requests finish on
-// the old one. The preprocessing component uses this after the installer
-// detects new or modified application files (Section IV-B). A partial
-// swap changes half a generation, so the serving version resets to
-// unversioned; use SetServing (or the rollout verbs) to install a whole
-// versioned generation.
-func (s *Server) SetAnalyzer(analyzer *pti.Cached) {
-	s.updateMu.Lock()
-	defer s.updateMu.Unlock()
-	sv := *s.serving.Load()
-	sv.Analyzer = analyzer
-	sv.Version = ""
-	s.serving.Store(&sv)
-}
-
-// SetProfiles atomically swaps the query-skeleton profile store;
-// in-flight requests finish on the old one. The reload path uses this
-// exactly like SetAnalyzer, with the same version reset.
-func (s *Server) SetProfiles(st *profile.Store) {
-	s.updateMu.Lock()
-	defer s.updateMu.Unlock()
-	sv := *s.serving.Load()
-	sv.Profiles = st
-	sv.Version = ""
-	s.serving.Store(&sv)
-}
-
 // SetServing atomically swaps the whole serving bundle — analyzer,
 // profiles and version together. Coordinated reload paths (jozad's
 // unified watch loop, the commit verb) use this so checks can never mix
 // halves of two generations.
-func (s *Server) SetServing(sv *Serving) {
-	s.updateMu.Lock()
-	defer s.updateMu.Unlock()
-	s.serving.Store(sv)
-}
+func (s *Server) SetServing(sv *Serving) { s.serving.Store(sv) }
 
 // Version returns the serving snapshot's content-derived version ("" for
 // unversioned state).

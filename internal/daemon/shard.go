@@ -264,7 +264,7 @@ func (sp *ShardedPool) AnalyzeKeyContext(ctx context.Context, key, query string)
 	return reply, nil
 }
 
-// AnalyzeSiteContext implements siteTransport: routes by the query (the
+// AnalyzeSiteContext implements Transport: routes by the query (the
 // default routing key) and carries the call site to the owning shard so
 // its daemon runs the query-skeleton profile stage. Profiled fleets must
 // share one profile store (or shard it by the same key).

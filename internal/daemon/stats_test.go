@@ -47,8 +47,8 @@ func TestStatsVerbOverPipe(t *testing.T) {
 	}
 }
 
-// TestStatsVerbCountersSurviveSwap pins that SetAnalyzer keeps the request
-// counters while the cache fields follow the new analyzer.
+// TestStatsVerbCountersSurviveSwap pins that a SetServing swap keeps the
+// request counters while the cache fields follow the new analyzer.
 func TestStatsVerbCountersSurviveSwap(t *testing.T) {
 	srv := NewServer(newAnalyzer())
 	c, stop := spawnOn(t, srv)
@@ -59,7 +59,7 @@ func TestStatsVerbCountersSurviveSwap(t *testing.T) {
 	if _, err := c.Analyze(benignQuery); err != nil {
 		t.Fatal(err)
 	}
-	srv.SetAnalyzer(newAnalyzer())
+	srv.SetServing(&Serving{Analyzer: newAnalyzer()})
 	st, err := c.Stats()
 	if err != nil {
 		t.Fatal(err)

@@ -1,97 +1,53 @@
 package workload
 
 import (
+	"context"
 	"fmt"
-	"sync"
+	"strings"
 	"time"
 
+	"joza/internal/core"
 	"joza/internal/daemon"
 	"joza/internal/nti"
 	"joza/internal/pti"
-	"joza/internal/sqlparse"
 )
 
-// Protection is one measured configuration: a PTI transport (nil for the
-// unprotected baseline), an optional NTI analyzer, client-side caches and
-// a label.
+// Protection is one measured configuration: the shipped remote front door
+// (daemon.HybridClient, what joza.NewRemoteGuard returns) over a PTI
+// transport, with or without the application-side NTI analysis. A
+// Protection serves one goroutine at a time.
 type Protection struct {
 	Name string
-	// Transport carries PTI analysis; nil disables PTI.
-	Transport daemon.Transport
-	// NTI is the in-application analyzer; nil disables NTI.
-	NTI *nti.Analyzer
-	// cache is the application-side PTI verdict cache. Per Section IV-C
-	// the query cache lives with the application, so a hit skips the
-	// daemon round trip entirely.
-	cache *clientCache
-	// spawner, when set, creates (and tears down) a fresh daemon per
-	// request — the paper's unoptimized deployment.
-	spawner func() (daemon.Transport, func())
+	// connect returns the client that checks one request's queries and
+	// the release that ends its deployment; a long-lived deployment hands
+	// back the same client with a no-op release.
+	connect func() (*daemon.HybridClient, func())
+	// ptiTime accumulates the time spent inside the PTI transport, IPC
+	// included (see timedTransport).
+	ptiTime time.Duration
 }
 
-// Close releases the protection's transport.
-func (p *Protection) Close() {
-	if p != nil && p.Transport != nil {
-		_ = p.Transport.Close()
-	}
+// timedTransport adds the time each analyze call spends inside the
+// wrapped transport to *spent: the Figure 7/8 "PTI" component. The hybrid
+// client issues every analysis through AnalyzeSiteContext.
+type timedTransport struct {
+	daemon.Transport
+	spent *time.Duration
 }
 
-// clientCache is the application-side safe-verdict cache: an exact-query
-// map plus an optional structure-key map. Only safe verdicts are stored.
-type clientCache struct {
-	mu        sync.Mutex
-	cap       int
-	queries   map[string]bool
-	structure map[string]bool // nil when structure caching is off
+// AnalyzeSiteContext implements daemon.Transport.
+func (t timedTransport) AnalyzeSiteContext(ctx context.Context, site, query string) (*daemon.AnalysisReply, error) {
+	start := time.Now()
+	reply, err := t.Transport.AnalyzeSiteContext(ctx, site, query)
+	*t.spent += time.Since(start)
+	return reply, err
 }
 
-func newClientCache(mode pti.CacheMode, capacity int) *clientCache {
-	if mode == pti.CacheNone || mode == 0 {
-		return nil
-	}
-	c := &clientCache{cap: capacity, queries: make(map[string]bool, capacity)}
-	if mode == pti.CacheQueryAndStructure {
-		c.structure = make(map[string]bool, capacity)
-	}
-	return c
-}
-
-// lookup reports whether the query has a cached safe verdict.
-func (c *clientCache) lookup(query string) bool {
-	if c == nil {
-		return false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.queries[query] {
-		return true
-	}
-	if c.structure != nil && c.structure[sqlparse.StructureKey(query)] {
-		c.queries[query] = true
-		return true
-	}
-	return false
-}
-
-// store records a safe verdict.
-func (c *clientCache) store(query string) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.queries) < c.cap {
-		c.queries[query] = true
-	}
-	if c.structure != nil && len(c.structure) < c.cap {
-		c.structure[sqlparse.StructureKey(query)] = true
-	}
-}
-
-// PTIVariant selects how the PTI analyzer and its deployment are built.
-// The paper's optimized daemon is the zero value plus Remote and a cache
-// mode: per-fragment scan matching with MRU and parse-first (Aho–Corasick
-// is this reproduction's own ablation, exercised in the benchmarks).
+// PTIVariant selects how the daemon-side PTI analyzer and its deployment
+// are built. The paper's optimized daemon is the zero value plus Remote and
+// a cache mode: per-fragment scan matching with MRU and parse-first
+// (Aho–Corasick is this reproduction's own ablation, exercised in the
+// benchmarks).
 type PTIVariant struct {
 	// AhoCorasick switches from the paper's per-fragment scan to the AC
 	// automaton (ablation).
@@ -101,7 +57,9 @@ type PTIVariant struct {
 	// NoMRU leaves out the paper's MRU fragment list, which every other
 	// variant adds (pti.WithMRU(64)); production PTI runs without it.
 	NoMRU bool
-	// Cache selects the application-side cache mode.
+	// Cache selects the PTI cache mode. The caches sit with the analyzer,
+	// behind the transport, as in the shipped deployment; the paper kept
+	// its query cache in the application, ahead of the IPC.
 	Cache pti.CacheMode
 	// Remote routes analysis through an in-memory pipe daemon instead of
 	// a direct in-process call (the "extension estimate").
@@ -112,8 +70,8 @@ type PTIVariant struct {
 	SpawnPerRequest bool
 }
 
-// buildAnalyzer constructs the PTI analyzer for a variant. Caching happens
-// client-side, so the analyzer itself is uncached.
+// buildAnalyzer constructs the cached PTI analyzer a variant's daemon
+// serves from.
 func (v PTIVariant) buildAnalyzer(site *Site) *pti.Cached {
 	var opts []pti.Option
 	if !v.AhoCorasick {
@@ -125,42 +83,35 @@ func (v PTIVariant) buildAnalyzer(site *Site) *pti.Cached {
 	if !v.NoMRU {
 		opts = append(opts, pti.WithMRU(64))
 	}
-	return pti.NewCached(pti.New(site.Fragments, opts...), pti.CacheNone, 1)
+	return pti.NewCached(pti.New(site.Fragments, opts...), v.Cache, 16384)
 }
 
 // NewProtection assembles a measured configuration. stop must be called
 // when done (it shuts down a pipe daemon when Remote is set).
 func NewProtection(name string, site *Site, v PTIVariant, withNTI bool) (prot *Protection, stop func()) {
 	analyzer := v.buildAnalyzer(site)
-	var transport daemon.Transport
-	stop = func() {}
-	switch {
-	case v.SpawnPerRequest:
-		// Each request spawns a daemon over a fresh pipe and tears it
-		// down afterwards; RunRequests drives the lifecycle via
-		// perRequestSpawner.
-		transport = nil
-	case v.Remote:
-		client, s := daemon.SpawnPipe(analyzer)
-		transport = client
-		stop = s
-	default:
-		transport = daemon.NewDirect(analyzer)
-	}
-	p := &Protection{
-		Name:      name,
-		Transport: transport,
-		cache:     newClientCache(v.Cache, 16384),
-	}
-	if v.SpawnPerRequest {
-		p.spawner = func() (daemon.Transport, func()) {
-			c, s := daemon.SpawnPipe(analyzer)
-			return c, s
-		}
-	}
+	var ntiAnalyzer *nti.Analyzer
 	if withNTI {
-		p.NTI = nti.MustNew()
+		ntiAnalyzer = nti.MustNew()
 	}
+	p := &Protection{Name: name}
+	hybrid := func(t daemon.Transport) *daemon.HybridClient {
+		return daemon.NewHybridClient(timedTransport{t, &p.ptiTime}, ntiAnalyzer, core.PolicyTerminate)
+	}
+	stop = func() {}
+	if v.SpawnPerRequest {
+		p.connect = func() (*daemon.HybridClient, func()) {
+			c, stopDaemon := daemon.SpawnPipe(analyzer)
+			return hybrid(c), stopDaemon
+		}
+		return p, stop
+	}
+	var transport daemon.Transport = daemon.NewDirect(analyzer)
+	if v.Remote {
+		transport, stop = daemon.SpawnPipe(analyzer)
+	}
+	client := hybrid(transport)
+	p.connect = func() (*daemon.HybridClient, func()) { return client, func() {} }
 	return p, stop
 }
 
@@ -175,13 +126,13 @@ type Timing struct {
 	DB time.Duration
 	// Render is simulated application (template/interpreter) time.
 	Render time.Duration
-	// PTI is time spent in PTI analysis, including cache lookups and IPC
-	// for remote transports.
+	// PTI is time spent inside the PTI transport (the daemon's cache
+	// lookups and analysis, plus IPC for remote transports) and spawning
+	// per-request daemons.
 	PTI time.Duration
-	// NTI is time spent in NTI analysis.
+	// NTI is the rest of each check: the application-side NTI analysis
+	// and the front door's own bookkeeping.
 	NTI time.Duration
-	// CacheHits counts queries answered from the client-side cache.
-	CacheHits int
 }
 
 // PerRequest returns the mean request time.
@@ -242,70 +193,67 @@ func simulateRender(iters int) time.Duration {
 }
 
 // RunRequests executes pre-generated requests under a protection (nil
-// protection = plain) and returns the timing breakdown.
+// protection = plain) and returns the timing breakdown. Every protected
+// query is checked through the protection's front door before it runs; a
+// flagged query fails the run, since the workload is benign.
 func RunRequests(site *Site, reqs []*Request, prot *Protection) (Timing, error) {
 	var tm Timing
 	start := time.Now()
 	for _, req := range reqs {
-		tm.Requests++
-		transport := daemon.Transport(nil)
-		requestStop := func() {}
-		if prot != nil {
-			transport = prot.Transport
-			if prot.spawner != nil {
-				t0 := time.Now()
-				transport, requestStop = prot.spawner()
-				tm.PTI += time.Since(t0) // daemon spawn is PTI-side cost
-			}
+		if err := runRequest(site, req, prot, &tm); err != nil {
+			return tm, err
 		}
-		for _, ev := range req.Events {
-			tm.Queries++
-			if prot != nil && transport != nil {
-				t0 := time.Now()
-				if prot.cache.lookup(ev.Query) {
-					tm.CacheHits++
-				} else {
-					reply, err := transport.Analyze(ev.Query)
-					if err != nil {
-						requestStop()
-						return tm, fmt.Errorf("pti: %w", err)
-					}
-					if reply.Attack {
-						return tm, fmt.Errorf("benign workload flagged: %q", ev.Query)
-					}
-					prot.cache.store(ev.Query)
-				}
-				tm.PTI += time.Since(t0)
-				if prot.NTI != nil {
-					// The daemon transports return no token stream, so NTI
-					// lexes lazily, only when an input matches the query.
-					t1 := time.Now()
-					res := prot.NTI.Analyze(ev.Query, nil, ev.Inputs)
-					tm.NTI += time.Since(t1)
-					if res.Attack {
-						return tm, fmt.Errorf("benign workload flagged by NTI: %q", ev.Query)
-					}
-				}
-			} else if prot != nil && prot.NTI != nil {
-				t1 := time.Now()
-				res := prot.NTI.Analyze(ev.Query, nil, ev.Inputs)
-				tm.NTI += time.Since(t1)
-				if res.Attack {
-					return tm, fmt.Errorf("benign workload flagged by NTI: %q", ev.Query)
-				}
-			}
-			t2 := time.Now()
-			if _, err := site.DB.Exec(ev.Query); err != nil {
-				requestStop()
-				return tm, fmt.Errorf("db: %w", err)
-			}
-			tm.DB += time.Since(t2)
-		}
-		requestStop()
 		tm.Render += simulateRender(site.RenderIters)
 	}
 	tm.Total = time.Since(start)
 	return tm, nil
+}
+
+// runRequest checks and executes one request's statements, releasing the
+// request's deployment on every path.
+func runRequest(site *Site, req *Request, prot *Protection, tm *Timing) error {
+	tm.Requests++
+	var client *daemon.HybridClient
+	if prot != nil {
+		t0 := time.Now()
+		var release func()
+		client, release = prot.connect()
+		tm.PTI += time.Since(t0) // spawning a daemon is PTI-side cost
+		defer release()
+	}
+	for _, ev := range req.Events {
+		tm.Queries++
+		if client != nil {
+			if err := prot.check(client, ev, tm); err != nil {
+				return err
+			}
+		}
+		t0 := time.Now()
+		if _, err := site.DB.Exec(ev.Query); err != nil {
+			return fmt.Errorf("db: %w", err)
+		}
+		tm.DB += time.Since(t0)
+	}
+	return nil
+}
+
+// check runs one query through client and splits the time it took into
+// the PTI transport's share and the rest.
+func (p *Protection) check(client *daemon.HybridClient, ev QueryEvent, tm *Timing) error {
+	ptiBefore := p.ptiTime
+	t0 := time.Now()
+	verdict, err := client.Check(ev.Query, ev.Inputs)
+	elapsed := time.Since(t0)
+	spent := p.ptiTime - ptiBefore
+	tm.PTI += spent
+	tm.NTI += elapsed - spent
+	if err != nil {
+		return fmt.Errorf("check: %w", err)
+	}
+	if verdict.Attack {
+		return fmt.Errorf("benign workload flagged by %s: %q", strings.Join(verdict.DetectedBy(), "+"), ev.Query)
+	}
+	return nil
 }
 
 // GenerateRequests produces n requests of a fixed kind.

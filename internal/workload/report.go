@@ -15,7 +15,8 @@ import (
 const measureRepeats = 7
 
 // measure runs the request batch under prot measureRepeats times from
-// identical database state and returns the fastest run. regen, when
+// identical database state and returns the median of the runs after the
+// warm-up. regen, when
 // non-nil, produces a fresh batch per repetition — required whenever the
 // batch contains writes, whose data values must be new every time (reusing
 // them would let the exact-query cache absorb the INSERTs, hiding exactly
@@ -100,10 +101,9 @@ type Table5Result struct {
 }
 
 // RunTable5 measures read/write request overhead under the paper's cache
-// configurations: no cache, query cache, query+structure cache, and the
-// in-process "extension estimate" (query+structure cache with no daemon
-// transport; here both use Direct, the daemon variants are exercised in
-// Figure 7 and the transport ablation).
+// configurations: no cache, query cache and query+structure cache over a
+// pipe daemon, and the in-process "extension estimate" (query+structure
+// cache over Direct, no IPC).
 func RunTable5(site *Site, nRequests int) (*Table5Result, error) {
 	reads := site.GenerateRequests(Read, nRequests)
 	writes := site.GenerateRequests(Write, nRequests)

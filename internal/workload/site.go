@@ -1,9 +1,11 @@
 // Package workload implements the performance-evaluation harness of
-// Sections VI: a WordPress-like site with read (page view), write (comment
+// Section VI: a WordPress-like site with read (page view), write (comment
 // post) and search request generators, protection configurations spanning
 // the paper's design space (cache modes, matcher optimizations, daemon vs
 // in-process transport), and the measurement/report code that regenerates
-// Tables V–VII and Figures 7–8.
+// Tables V–VII and Figures 7–8. Every protected query is checked by
+// daemon.HybridClient, the remote front door Joza ships; a configuration
+// only chooses the transport and the daemon-side PTI analyzer.
 package workload
 
 import (

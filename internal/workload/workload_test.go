@@ -1,9 +1,12 @@
 package workload
 
 import (
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
+	"joza/internal/fragments"
 	"joza/internal/pti"
 )
 
@@ -265,5 +268,57 @@ func TestSpawnPerRequestVariant(t *testing.T) {
 	}
 	if tm.PTI <= tm2.PTI/2 {
 		t.Errorf("spawn-per-request PTI %v unexpectedly cheaper than long-lived %v", tm.PTI, tm2.PTI)
+	}
+}
+
+// historySite is a site whose fragments cover "…id=1 LIMIT 5" but not
+// "…id=1 LIMIT 6", and one request issuing both queries in that order. The
+// two share a structure key, so a structure cache that vouched for the
+// second query from the first one's verdict would let it through.
+func historySite(t *testing.T) (*Site, *Request) {
+	t.Helper()
+	site := newSite(t)
+	site.Fragments = fragments.NewSet([]string{"SELECT id, title, body FROM posts WHERE id=", " LIMIT 5"})
+	return site, &Request{Kind: Read, Events: []QueryEvent{
+		{Query: "SELECT id, title, body FROM posts WHERE id=1 LIMIT 5"},
+		{Query: "SELECT id, title, body FROM posts WHERE id=1 LIMIT 6"},
+	}}
+}
+
+// TestCacheHistoryDoesNotChangeVerdicts pins that every Table V variant
+// flags the uncovered query however the earlier covered one was cached.
+func TestCacheHistoryDoesNotChangeVerdicts(t *testing.T) {
+	site, req := historySite(t)
+	for _, mode := range []pti.CacheMode{pti.CacheNone, pti.CacheQuery, pti.CacheQueryAndStructure} {
+		for _, remote := range []bool{false, true} {
+			prot, stop := NewProtection("history", site, PTIVariant{Cache: mode, Remote: remote}, true)
+			_, err := RunRequests(site, []*Request{req}, prot)
+			stop()
+			if err == nil || !strings.Contains(err.Error(), "benign workload flagged") ||
+				!strings.Contains(err.Error(), "LIMIT 6") {
+				t.Errorf("cache=%v remote=%v: err = %v, want the LIMIT 6 query flagged", mode, remote, err)
+			}
+		}
+	}
+}
+
+// TestSpawnPerRequestReleasesFlaggedDaemon pins that a run failing on a
+// flagged query still shuts down the daemon spawned for that request.
+func TestSpawnPerRequestReleasesFlaggedDaemon(t *testing.T) {
+	site, req := historySite(t)
+	prot, stop := NewProtection("spawn", site,
+		PTIVariant{SpawnPerRequest: true, Cache: pti.CacheNone}, false)
+	defer stop()
+	baseline := runtime.NumGoroutine()
+	if _, err := RunRequests(site, []*Request{req}, prot); err == nil {
+		t.Fatal("uncovered query passed")
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines = %d after the flagged run, baseline %d",
+				runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
